@@ -44,10 +44,20 @@
 // payload subslices (h2.Core.AppendWrite), the emulated network
 // transmits them as subslices of the writer's chunks (netem.End.WriteV
 // transfers ownership), and the receiving frame parser consumes the
-// delivered slices in place (h2.FrameReader.Feed retains, Next parses
-// from the chunk list). The ownership rule at every seam is the same:
-// bytes handed across it must not be mutated afterwards, and bytes
-// received from it must be copied if retained beyond the callback.
+// delivered slices in place (h2.FrameReader.Feed retains, merges a
+// chunk that continues the previous one in memory, and Next parses
+// from the chunk list). Because a frame's segments are adjacent pieces
+// of one body array, a DATA payload is returned as a subslice of the
+// recorded body and is never reassembled; only payloads spanning
+// non-adjacent chunks (real.go's per-read copies) go through the
+// reader's scratch buffer. The ownership rule at every seam is the
+// same: bytes handed across it must not be mutated afterwards, and
+// bytes received from it must be copied if retained beyond the
+// callback. The capacity rule rides along: slices handed across the
+// netem and h2 seams are cut with 2-index expressions and may carry
+// capacity into the writer's buffer (that is how Feed sees adjacency),
+// so receivers must never append to them or write through them, and
+// h2.FrameReader returns capped payloads (cap == len) to its consumers.
 // Hot-path events ride sim.AtCall (pooled Event structs, static
 // callbacks) and netem pools per-segment state, so steady-state
 // transfer allocates nothing per segment.

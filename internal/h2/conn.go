@@ -1109,7 +1109,7 @@ func (c *Core) finishPushPromise(parentID, promisedID uint32, block []byte) {
 //repolint:hotpath
 func (c *Core) handleData(f *DataFrame) {
 	st := c.getStream(f.StreamID)
-	n := int64(len(f.Data))
+	n := int64(len(f.Data) + f.padLen)
 	// Connection-level accounting happens regardless of stream state.
 	c.recvWindow -= n
 	if c.recvWindow < 0 {
@@ -1137,7 +1137,7 @@ func (c *Core) handleData(f *DataFrame) {
 		st.recvWindow += inc
 		c.queueWindowUpdate(st.ID, uint32(inc))
 	}
-	st.recvdBody += int(n)
+	st.recvdBody += len(f.Data)
 	if f.EndStream {
 		c.peerClosed(st)
 	}
@@ -1247,6 +1247,8 @@ func (c *Core) arenaHeader(length int, t FrameType, flags Flags, streamID uint32
 //
 // The returned slices are owned by the connection until the transport has
 // consumed them; the chunks container itself may be reused by the caller.
+// Body subslices may carry capacity into the queued body, so the
+// transport must never append to them.
 //
 //repolint:hotpath
 func (c *Core) AppendWrite(chunks [][]byte, max int) [][]byte {
@@ -1300,7 +1302,7 @@ func (c *Core) AppendWrite(chunks [][]byte, max int) [][]byte {
 		if take > remain {
 			take = remain
 		}
-		chunks = append(chunks, b[st.outOff:st.outOff+take:st.outOff+take])
+		chunks = append(chunks, b[st.outOff:st.outOff+take])
 		st.outOff += take
 		remain -= take
 		if st.outOff == len(b) {

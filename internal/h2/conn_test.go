@@ -1,6 +1,7 @@
 package h2
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/hpack"
@@ -314,5 +315,37 @@ func TestDataForUnknownStreamCountsAgainstConnWindowOnly(t *testing.T) {
 	feed(c, &DataFrame{StreamID: 99, Data: make([]byte, 1000)})
 	if gotErr.Code != 0 {
 		t.Fatalf("data for unknown stream errored: %+v", gotErr)
+	}
+}
+
+// TestPaddedDataChargesWholePayload pins RFC 7540 Section 6.9.1: flow
+// control counts the entire DATA payload, including the pad-length byte
+// and the padding, while the stream sees only the data bytes.
+func TestPaddedDataChargesWholePayload(t *testing.T) {
+	c := NewCore(false, DefaultSettings())
+	c.Start()
+	st := c.StartRequest(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"}.Fields(), nil)
+	var got []byte
+	c.OnData = func(_ *Stream, data []byte, _ bool) { got = data }
+	connBefore, streamBefore := c.recvWindow, st.recvWindow
+
+	const dataLen, padLen = 100, 20
+	wire := appendFrameHeader(nil, 1+dataLen+padLen, FrameData, FlagPadded, st.ID)
+	wire = append(wire, padLen)
+	wire = append(wire, bytes.Repeat([]byte{'d'}, dataLen)...)
+	wire = append(wire, bytes.Repeat([]byte{'p'}, padLen)...)
+	c.Recv(wire)
+
+	if d := connBefore - c.recvWindow; d != 1+dataLen+padLen {
+		t.Errorf("connection window fell by %d, want %d", d, 1+dataLen+padLen)
+	}
+	if d := streamBefore - st.recvWindow; d != 1+dataLen+padLen {
+		t.Errorf("stream window fell by %d, want %d", d, 1+dataLen+padLen)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{'d'}, dataLen)) || cap(got) != dataLen {
+		t.Errorf("OnData got %d bytes (cap %d), want the %d data bytes with no reach into the padding", len(got), cap(got), dataLen)
+	}
+	if n := st.RecvdBodyBytes(); n != dataLen {
+		t.Errorf("RecvdBodyBytes = %d, want %d", n, dataLen)
 	}
 }

@@ -151,6 +151,11 @@ type DataFrame struct {
 	StreamID  uint32
 	Data      []byte
 	EndStream bool
+
+	// padLen is the on-wire payload beyond Data (the pad-length byte
+	// plus padding) on a received padded frame, zero otherwise. Flow
+	// control charges the whole payload (RFC 7540 Section 6.9.1).
+	padLen int
 }
 
 func (f *DataFrame) Kind() FrameType { return FrameData }
@@ -384,12 +389,20 @@ var emptyPayload = []byte{}
 //
 // Feed is zero-copy: the reader retains the given slice until its bytes
 // have been consumed, so callers transfer ownership and must not mutate
-// fed chunks. Next parses directly from the chunk list; a frame payload
-// that lies within one chunk is returned as a subslice of it, and a
-// payload spanning chunks is assembled into a reused scratch buffer.
-// Consequently a returned Frame (and any payload slice it carries) is
-// only valid until the next call to Next or Feed — consumers must copy
-// what they retain.
+// fed chunks. A chunk that continues the previous one in memory (the
+// next bytes of the same array, as netem delivers the segments of one
+// body) is merged into it, so a frame split across such chunks still
+// lies within one chunk. Next parses directly from the chunk list; a
+// frame payload that lies within one chunk is returned as a subslice of
+// it, and only a payload spanning non-adjacent chunks is assembled into
+// a reused scratch buffer.
+//
+// Fed slices may carry capacity into the writer's buffer beyond their
+// length; the reader never appends to them or writes through them, and
+// every payload it returns is capped (cap == len), so a consumer's
+// append can never reach the writer's bytes. A returned Frame (and any
+// payload slice it carries) is only valid until the next call to Next
+// or Feed — consumers must copy what they retain.
 //
 //repolint:pooled
 type FrameReader struct {
@@ -431,6 +444,10 @@ func (r *FrameReader) Reset() {
 
 // Feed hands transport bytes to the reader. The slice is retained (not
 // copied) until consumed; see the type comment for the ownership rule.
+// When b starts where the last retained chunk ends in the same array,
+// the two are merged into one chunk. The capacity check proves both
+// slices share one allocation before the addresses are compared, and
+// the merged chunk holds exactly the fed bytes, in order.
 //
 //repolint:owns zero-copy: the reader aliases the chunk until consumed
 //repolint:hotpath
@@ -438,8 +455,15 @@ func (r *FrameReader) Feed(b []byte) {
 	if len(b) == 0 {
 		return
 	}
-	r.chunks = append(r.chunks, b)
 	r.buffered += len(b)
+	if n := len(r.chunks); n > 0 {
+		last := r.chunks[n-1]
+		if m := len(last) + len(b); cap(last) >= m && &last[:m][len(last)] == &b[0] {
+			r.chunks[n-1] = last[:m]
+			return
+		}
+	}
+	r.chunks = append(r.chunks, b)
 }
 
 // Buffered returns the number of undecoded bytes held.
@@ -489,7 +513,7 @@ func (r *FrameReader) consume(n int) {
 	}
 }
 
-// take consumes n bytes and returns them contiguously: a zero-copy
+// take consumes n bytes and returns them contiguously: a capped zero-copy
 // subslice when they lie within one chunk, otherwise the reused scratch
 // buffer. The caller guarantees buffered >= n.
 //
@@ -506,7 +530,7 @@ func (r *FrameReader) take(n int) []byte {
 	if cap(r.scratch) < n {
 		r.scratch = make([]byte, n)
 	}
-	buf := r.scratch[:n]
+	buf := r.scratch[:n:n]
 	filled := 0
 	for filled < n {
 		c := r.chunks[r.head]
@@ -543,18 +567,7 @@ func (r *FrameReader) Next() (Frame, error) {
 		flags := Flags(r.hdr[4])
 		streamID := binary.BigEndian.Uint32(r.hdr[5:9]) & 0x7fffffff
 		r.consume(frameHeaderLen)
-		payload := r.take(length)
-		if typ == FrameData {
-			// Hot path: reuse the reader's DataFrame instead of
-			// allocating one per frame.
-			p, err := checkDataPayload(streamID, flags, payload)
-			if err != nil {
-				return nil, err
-			}
-			r.data = DataFrame{StreamID: streamID, Data: p, EndStream: flags.Has(FlagEndStream)}
-			return &r.data, nil
-		}
-		f, err := r.parseInto(typ, flags, streamID, payload)
+		f, err := r.parseInto(typ, flags, streamID, r.take(length))
 		if err != nil {
 			return nil, err
 		}
@@ -565,26 +578,24 @@ func (r *FrameReader) Next() (Frame, error) {
 	}
 }
 
-// checkDataPayload validates a DATA frame and strips padding.
-func checkDataPayload(streamID uint32, flags Flags, p []byte) ([]byte, error) {
+// parseData validates a DATA frame and strips its padding into the
+// reader's reused DataFrame. The stripped payload is capped so a
+// consumer cannot reach the padding bytes; padLen keeps their count for
+// flow control.
+func (r *FrameReader) parseData(flags Flags, streamID uint32, p []byte) (Frame, error) {
 	if streamID == 0 {
 		return nil, ConnError{ErrCodeProtocol, "DATA on stream 0"}
 	}
+	wire := len(p)
 	if flags.Has(FlagPadded) {
 		if len(p) < 1 || int(p[0]) >= len(p) {
 			return nil, ConnError{ErrCodeProtocol, "bad DATA padding"}
 		}
-		p = p[1 : len(p)-int(p[0])]
+		e := len(p) - int(p[0])
+		p = p[1:e:e]
 	}
-	return p, nil
-}
-
-// parseFrame decodes one frame into freshly allocated structs. It is the
-// allocating compatibility wrapper around FrameReader.parseInto, kept for
-// callers outside the reader's reuse contract.
-func parseFrame(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, error) {
-	var r FrameReader
-	return r.parseInto(typ, flags, streamID, p)
+	r.data = DataFrame{StreamID: streamID, Data: p, EndStream: flags.Has(FlagEndStream), padLen: wire - len(p)}
+	return &r.data, nil
 }
 
 // parseInto decodes one frame into the reader's reused frame structs;
@@ -594,12 +605,7 @@ func parseFrame(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, e
 func (r *FrameReader) parseInto(typ FrameType, flags Flags, streamID uint32, p []byte) (Frame, error) {
 	switch typ {
 	case FrameData:
-		p, err := checkDataPayload(streamID, flags, p)
-		if err != nil {
-			return nil, err
-		}
-		r.data = DataFrame{StreamID: streamID, Data: p, EndStream: flags.Has(FlagEndStream)}
-		return &r.data, nil
+		return r.parseData(flags, streamID, p)
 
 	case FrameHeaders:
 		if streamID == 0 {

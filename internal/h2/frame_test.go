@@ -141,9 +141,83 @@ func TestParseErrors(t *testing.T) {
 		{"bad DATA padding", FrameData, FlagPadded, 1, []byte{5, 1, 2}},
 	}
 	for _, tc := range cases {
-		if _, err := parseFrame(tc.typ, tc.fl, tc.id, tc.pay); err == nil {
+		if _, err := (&FrameReader{}).parseInto(tc.typ, tc.fl, tc.id, tc.pay); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+	}
+}
+
+// TestFrameReaderFeedMerge pins Feed's adjacency rule: a chunk is merged
+// into the previous one only when it starts where that one ends in the
+// same array, and a payload that then lies within one chunk is returned
+// as a capped subslice of the wire bytes.
+func TestFrameReaderFeedMerge(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789"), 400)
+	wire := AppendFrame(nil, &DataFrame{StreamID: 1, Data: payload, EndStream: true})
+	const k = 1460 // split point inside the payload
+	// gapped holds the wire bytes with one stray byte between the two
+	// halves, so both feeds come from one array but are not adjacent.
+	gapped := make([]byte, len(wire)+1)
+	copy(gapped, wire[:k])
+	copy(gapped[k+1:], wire[k:])
+	// lead puts a PING before the DATA frame; the first feed ends inside
+	// the DATA payload, so the PING is consumed from the head chunk
+	// before the rest of the wire is merged onto it.
+	lead := AppendFrame(AppendFrame(nil, &PingFrame{Data: [8]byte{7}}), &DataFrame{StreamID: 1, Data: payload, EndStream: true})
+	dataAt := len(lead) - len(wire) + frameHeaderLen
+	cases := []struct {
+		name   string
+		feeds  [][]byte
+		src    []byte // the array the feeds are cut from
+		at     int    // payload offset in src
+		merged bool
+	}{
+		{"adjacent merges", [][]byte{wire[:k], wire[k:]}, wire, frameHeaderLen, true},
+		{"gap does not merge", [][]byte{gapped[:k], gapped[k+1:]}, gapped, frameHeaderLen, false},
+		{"no capacity does not merge", [][]byte{wire[:k:k], wire[k:]}, wire, frameHeaderLen, false},
+		{"merge onto partly consumed head", [][]byte{lead[:dataAt+100], lead[dataAt+100:]}, lead, dataAt, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var r FrameReader
+			var df *DataFrame
+			retained := 0
+			for _, b := range tc.feeds {
+				r.Feed(b)
+				retained = max(retained, len(r.chunks)-r.head)
+				for {
+					f, err := r.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f == nil {
+						break
+					}
+					if d, ok := f.(*DataFrame); ok {
+						df = d
+					}
+				}
+			}
+			want := 2
+			if tc.merged {
+				want = 1
+			}
+			if retained != want {
+				t.Errorf("%d chunks retained, want %d", retained, want)
+			}
+			if df == nil {
+				t.Fatal("no DATA frame decoded")
+			}
+			if df.StreamID != 1 || !df.EndStream || !bytes.Equal(df.Data, payload) {
+				t.Fatalf("decoded %d bytes on stream %d (end %v), want the %d-byte payload", len(df.Data), df.StreamID, df.EndStream, len(payload))
+			}
+			if cap(df.Data) != len(df.Data) {
+				t.Errorf("payload cap %d != len %d: a consumer could append into the wire", cap(df.Data), len(df.Data))
+			}
+			if aliased := &df.Data[0] == &tc.src[tc.at]; aliased != tc.merged {
+				t.Errorf("payload aliases the wire = %v, want %v", aliased, tc.merged)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,11 @@
 package h2
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // FuzzFrameReader feeds arbitrary transport bytes through the
 // incremental frame decoder. The reader faces peer-controlled input, so
@@ -8,6 +13,14 @@ import "testing"
 // produce a ConnError from Next, never a panic, and every successful
 // Next makes progress (consumes at least a frame header) so a feed of N
 // bytes can never decode more than N/frameHeaderLen+1 frames.
+//
+// The target is differential. Each input is decoded three times at the
+// same split point: as two adjacent subslices of one array, which Feed
+// merges into one chunk; as two exact-capacity copies, which stay
+// separate so payloads spanning them go through the scratch reassembly
+// path; and as two copies where the first has spare capacity holding
+// the complement of the second, which must not merge either. All three
+// must yield the same frames and the same error.
 //
 // The corpus seeds are real encodings produced by AppendFrame — every
 // frame type the codec emits, alone and concatenated — so mutations
@@ -38,27 +51,55 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var r FrameReader
-		// Feed in two chunks split at a data-derived point so payloads
-		// regularly span chunks and exercise the scratch-reassembly path.
+		// Split at a data-derived point so payloads regularly span the
+		// two feeds. The last byte picks it: the first is a length byte,
+		// which is almost always 0 in a well-formed frame.
 		split := 0
 		if len(data) > 1 {
-			split = int(data[0]) % len(data)
+			split = int(data[len(data)-1]) % len(data)
 		}
-		r.Feed(data[:split])
-		r.Feed(data[split:])
-		maxFrames := len(data)/frameHeaderLen + 1
-		for i := 0; ; i++ {
-			fr, err := r.Next()
-			if err != nil {
-				return // surfaced error is the contract; panics are the bug
-			}
-			if fr == nil {
-				return
-			}
-			if i > maxFrames {
-				t.Fatalf("decoded more than %d frames from %d bytes: no progress", maxFrames, len(data))
-			}
+		a, b := data[:split], data[split:]
+		merged := decodeAll(t, a, b)
+		capped := func(p []byte) []byte { c := bytes.Clone(p); return c[:len(c):len(c)] }
+		copied := decodeAll(t, capped(a), capped(b))
+		if !slices.Equal(merged, copied) {
+			t.Fatalf("adjacent and copied feeds decode differently:\n merged %q\n copied %q", merged, copied)
+		}
+		poisoned := make([]byte, len(a)+len(b))
+		copy(poisoned, a)
+		for i, c := range b {
+			poisoned[len(a)+i] = ^c
+		}
+		if spare := decodeAll(t, poisoned[:len(a)], capped(b)); !slices.Equal(merged, spare) {
+			t.Fatalf("adjacent and spare-capacity feeds decode differently:\n merged %q\n spare  %q", merged, spare)
 		}
 	})
+}
+
+// decodeAll feeds a and b to a fresh reader and returns one record per
+// decoded frame (its re-encoding, plus the padding length for DATA)
+// followed by the error Next surfaced, if any.
+func decodeAll(t *testing.T, a, b []byte) []string {
+	var r FrameReader
+	r.Feed(a)
+	r.Feed(b)
+	maxFrames := (len(a)+len(b))/frameHeaderLen + 1
+	var out []string
+	for i := 0; ; i++ {
+		fr, err := r.Next()
+		if err != nil {
+			return append(out, err.Error()) // surfaced error is the contract; panics are the bug
+		}
+		if fr == nil {
+			return out
+		}
+		if i > maxFrames {
+			t.Fatalf("decoded more than %d frames from %d bytes: no progress", maxFrames, len(a)+len(b))
+		}
+		rec := string(AppendFrame(nil, fr))
+		if df, ok := fr.(*DataFrame); ok {
+			rec += fmt.Sprintf(" pad=%d", df.padLen)
+		}
+		out = append(out, rec)
+	}
 }

@@ -372,6 +372,46 @@ func TestSimMultipleRequestsMultiplexed(t *testing.T) {
 	}
 }
 
+// TestSimDataPathIsZeroCopy pins the zero-copy byte path end to end:
+// a body spanning several DATA frames crosses h2 -> netem -> h2 without
+// being copied, so every OnData chunk is a capped subslice of the queued
+// body, at the offset it carries. Capping netem's segment subslices
+// hides the adjacency of a frame's segments from FrameReader.Feed and
+// sends the payload through the reassembly copy, which fails here.
+func TestSimDataPathIsZeroCopy(t *testing.T) {
+	body := make([]byte, 100*1024)
+	for i := range body {
+		body[i] = byte(i)
+	}
+	off, chunks := 0, 0
+	done := false
+	p := newSimPair(func(sw *ServerStream, req Request) {
+		sw.Respond(200, "application/octet-stream", body)
+	}, clientSettingsLargeWindow(), func(p *simPair) {
+		p.cl.Request(Request{Method: "GET", Scheme: "https", Authority: "a", Path: "/"},
+			RequestOpts{
+				OnData: func(chunk []byte) {
+					if off+len(chunk) > len(body) || &chunk[0] != &body[off] {
+						t.Fatalf("chunk %d (%d bytes) does not alias the body at offset %d", chunks, len(chunk), off)
+					}
+					if cap(chunk) != len(chunk) {
+						t.Fatalf("chunk %d has cap %d > len %d: a consumer could append into the body", chunks, cap(chunk), len(chunk))
+					}
+					off += len(chunk)
+					chunks++
+				},
+				OnComplete: func(int) { done = true },
+			})
+	})
+	p.s.Run()
+	if !done || off != len(body) {
+		t.Fatalf("received %d of %d body bytes (complete %v)", off, len(body), done)
+	}
+	if frames := len(body) / DefaultMaxFrameSize; chunks < frames {
+		t.Fatalf("body arrived in %d chunks, want at least %d DATA frames", chunks, frames)
+	}
+}
+
 func TestSimDeterminism(t *testing.T) {
 	run := func() time.Duration {
 		var doneAt time.Duration

@@ -26,9 +26,10 @@
 // trivially — frame headers come from an append-only arena and payloads
 // are slices of immutable recorded response bodies). Receivers likewise
 // get subslices of the writer's buffers and must copy anything they
-// retain beyond the callback. Per-segment state lives in pooled segment
-// structs and events are scheduled through sim.AtCall, so steady-state
-// transfer allocates nothing per segment.
+// retain beyond the callback; the subslices are uncapped, so receivers
+// must also never append to them. Per-segment state lives in pooled
+// segment structs and events are scheduled through sim.AtCall, so
+// steady-state transfer allocates nothing per segment.
 package netem
 
 import (
@@ -492,8 +493,11 @@ func (h *halfConn) writev(bs [][]byte) {
 }
 
 // pump admits as many segments as the congestion window allows, carving
-// zero-copy subslices off the chunk queue. A closed connection admits
-// nothing more: in-flight segments drain, buffered bytes are abandoned.
+// zero-copy subslices off the chunk queue. The subslices are cut with a
+// 2-index expression so consecutive segments of one chunk stay adjacent
+// in memory for the receiver (see SetReceiver). A closed connection
+// admits nothing more: in-flight segments drain, buffered bytes are
+// abandoned.
 //
 //repolint:hotpath
 func (h *halfConn) pump() {
@@ -514,7 +518,7 @@ func (h *halfConn) pump() {
 			if take > remain {
 				take = remain
 			}
-			seg.parts = append(seg.parts, c[h.off:h.off+take:h.off+take])
+			seg.parts = append(seg.parts, c[h.off:h.off+take])
 			h.off += take
 			remain -= take
 			if h.off == len(c) {
@@ -904,7 +908,9 @@ func (c *Conn) Closed() bool { return c.closed }
 
 // Write queues b for transmission to the peer end. Ownership of b
 // transfers to the transport: the bytes are delivered to the receiver as
-// zero-copy subslices, so the caller must not mutate b after Write.
+// zero-copy subslices, so the caller must not mutate b after Write. The
+// delivered subslices are not capped: they may carry capacity into b
+// beyond their length (see SetReceiver).
 //
 // Writes on a closed or not-yet-established connection are dropped (the
 // transport refuses the bytes rather than panicking: under fault
@@ -947,7 +953,10 @@ func (e *End) Inflight() int { return e.out.inflight }
 
 // SetReceiver installs the ordered byte stream consumer for this end.
 // The callback borrows its slice from the sender's buffers: it must copy
-// anything it retains after returning.
+// anything it retains after returning. The slice may carry capacity into
+// the sender's buffer, so the callback must never append to it or write
+// through it; consecutive slices cut from one sender buffer are adjacent
+// in memory, which lets h2.FrameReader.Feed merge them without a copy.
 func (e *End) SetReceiver(fn func([]byte)) { e.recv = fn }
 
 // SetOnDrain installs a callback invoked (asynchronously, same virtual
