@@ -9,7 +9,6 @@ package repro
 // Run:  go test -bench=. -benchmem
 
 import (
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,16 +23,8 @@ import (
 	"repro/internal/strategy"
 )
 
-// TestMain lets the multiprocess executor re-exec this test binary as a
-// shard worker: MaybeServeWorker takes over (and exits) when the worker
-// marker env is set, and is a no-op otherwise.
-func TestMain(m *testing.M) {
-	core.MaybeServeWorker()
-	os.Exit(m.Run())
-}
-
 // mustTable adapts the (table, error) experiment drivers for benchmark
-// loops: any executor or codec failure aborts the benchmark. Curried so
+// loops: any driver error aborts the benchmark. Curried so
 // a multi-value driver call can be forwarded directly.
 func mustTable(b *testing.B) func(*core.Table, error) *core.Table {
 	return func(tab *core.Table, err error) *core.Table {
@@ -375,32 +366,17 @@ func BenchmarkEngineParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallelJobs sweeps both execution backends so the
-// engine's scaling curve is a first-class benchmark on any hardware.
-// The Jobs sweep sizes the in-process worker pool: on a >=4-core
-// machine Jobs=4 must beat Jobs=1 on wall clock; on a single-CPU
-// machine the curve is flat (scheduling overhead only), which is itself
-// the measurement — it is no longer skipped, because the multiprocess
-// sweep below is the one expected to scale there. The Shards sweep
-// fans the same experiment across pushbench child processes, whose
-// parallelism the OS scheduler sees even when GOMAXPROCS=1. Tables are
-// byte-identical across every cell of both sweeps.
+// BenchmarkEngineParallelJobs sweeps the worker-pool size so the
+// engine's scaling curve is a first-class benchmark on any hardware:
+// on a >=4-core machine Jobs=4 must beat Jobs=1 on wall clock; on a
+// single-CPU machine the curve is flat (scheduling overhead only),
+// which is itself the measurement. Tables are byte-identical across
+// every cell of the sweep.
 func BenchmarkEngineParallelJobs(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run("Jobs="+strconv.Itoa(jobs), func(b *testing.B) {
 			sc := benchScale()
 			sc.Jobs = jobs
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mustTable(b)(core.Fig2bPushVsNoPush(sc))
-			}
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("Multiprocess/Shards="+strconv.Itoa(shards), func(b *testing.B) {
-			sc := benchScale()
-			sc.Jobs = 1 // children run units sequentially; shards carry the parallelism
-			sc.Exec = core.Exec{Kind: core.ExecMultiProcess, Shards: shards}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				mustTable(b)(core.Fig2bPushVsNoPush(sc))

@@ -10,13 +10,6 @@
 //	pushbench -exp all -jobs 8         # fan runs/sites across 8 workers
 //	pushbench -exp all -jobs 1         # strictly sequential (same output)
 //
-// The execution layer is pluggable: -executor multiprocess shards the
-// site-level fan-out across pushbench child processes (re-exec'd with
-// -worker), which scales past GOMAXPROCS=1 and produces byte-identical
-// tables at any -shards value:
-//
-//	pushbench -exp fig2b -executor multiprocess -shards 4
-//
 // The cross-scenario sweep re-runs the strategy comparison under every
 // named network scenario (or a chosen subset):
 //
@@ -61,11 +54,21 @@ import (
 )
 
 func main() {
-	// Becomes a shard worker and never returns when spawned by the
-	// multiprocess executor; must run before flag parsing so the
-	// -worker marker argument is never interpreted as a flag.
-	core.MaybeServeWorker()
 	os.Exit(run())
+}
+
+// order lists the experiments in -exp all order.
+var order = []string{"fig1", "fig2a", "fig2b", "pushable", "fig3a", "fig3b", "types", "fig4", "fig5", "fig6", "scenarios", "faults", "population"}
+
+// scaleByName resolves the -scale flag.
+func scaleByName(name string) (core.ExperimentScale, error) {
+	switch name {
+	case "small":
+		return core.SmallScale(), nil
+	case "paper":
+		return core.PaperScale(), nil
+	}
+	return core.ExperimentScale{}, fmt.Errorf("unknown scale %q (have: small, paper)", name)
 }
 
 // run carries the whole command so error paths return instead of
@@ -74,7 +77,7 @@ func main() {
 // or a -cpuprofile file would be left truncated and unparseable.
 func run() int {
 	var exp string
-	flag.StringVar(&exp, "exp", "all", "experiment: fig1|fig2a|fig2b|pushable|fig3a|fig3b|types|fig4|fig5|fig6|scenarios|faults|all")
+	flag.StringVar(&exp, "exp", "all", "experiment: "+strings.Join(order, "|")+"|all")
 	flag.StringVar(&exp, "experiment", "all", "alias for -exp")
 	scaleName := flag.String("scale", "small", "small|paper")
 	sitesFlag := flag.String("sites", "", "comma-separated w-site ids for fig6 (default all)")
@@ -86,8 +89,6 @@ func run() int {
 	presetsFlag := flag.String("presets", "all", "comma-separated population preset names for -experiment population (all, or any of: "+strings.Join(scenario.PopulationNames(), ", ")+")")
 	listExps := flag.Bool("list-experiments", false, "print the experiments with one-line descriptions and exit")
 	jobs := flag.Int("jobs", 0, "worker-pool size (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
-	executor := flag.String("executor", core.ExecInProcess, "execution backend: inprocess|multiprocess; output is identical for either")
-	shards := flag.Int("shards", 0, "multiprocess worker-child count (0 = GOMAXPROCS); output is identical for any value")
 	noFork := flag.Bool("nofork", false, "disable fork-at-divergence checkpoint reuse (ablation; output is identical either way)")
 	forkStats := flag.Bool("forkstats", false, "print fork checkpoint effectiveness to stderr after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
@@ -122,9 +123,10 @@ func run() int {
 		}()
 	}
 
-	scale := core.SmallScale()
-	if *scaleName == "paper" {
-		scale = core.PaperScale()
+	scale, err := scaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	if *runs > 0 {
 		scale.Runs = *runs
@@ -134,11 +136,6 @@ func run() int {
 	}
 	scale.Jobs = *jobs
 	scale.NoFork = *noFork
-	scale.Exec = core.Exec{Kind: *executor, Shards: *shards}
-	if err := scale.Exec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	var fig6Sites []string
 	if *sitesFlag != "" {
 		fig6Sites = strings.Split(*sitesFlag, ",")
@@ -203,7 +200,6 @@ func run() int {
 			return core.PopulationSweepNames(popPresets, clientCounts, scale)
 		},
 	}
-	order := []string{"fig1", "fig2a", "fig2b", "pushable", "fig3a", "fig3b", "types", "fig4", "fig5", "fig6", "scenarios", "faults", "population"}
 	descriptions := map[string]string{
 		"fig1":       "H2 and Server Push adoption over 12 monthly scans",
 		"fig2a":      "per-site std. error of PLT/SpeedIndex, testbed vs Internet",

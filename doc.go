@@ -227,46 +227,6 @@
 // per-preset tables of strategy x client-count median/p95 PLT and
 // SpeedIndex plus a fairness row (PLT p95/p50).
 //
-// # Pluggable execution shards: the Executor seam
-//
-// The engine's work-distribution layer (engine.go) hands out unit
-// indices and pins results into index-addressed slots; the Executor
-// seam (exec.go) makes the layer that runs those units pluggable. Two
-// implementations exist: the in-process worker pool, and a
-// multiprocess executor that re-execs the current binary as shard
-// worker children (pushbench -worker, marked by an environment
-// variable and intercepted by core.MaybeServeWorker before flag
-// parsing) and streams index-addressed work units to them over
-// stdin/stdout. Child k of N shards owns the index stride {k, k+N,
-// ...}; it runs its units sequentially (parallelism comes from the
-// shard count, children never spawn recursively) and streams each
-// encoded result back as it finishes. The parent validates stride
-// membership, uniqueness and completeness, pins payloads into the
-// shared slot array, and on any error closes the child's pipes, reaps
-// the process and folds its stderr into the returned error.
-//
-// The wire format is owned in layers: internal/shard frames the
-// streams (versioned RSH1 header, kind + length-prefixed frames, an
-// explicit End frame carrying the frame count so truncation and
-// trailing garbage are always errors) and provides the payload
-// primitives; internal/metrics owns the value codecs (Sample, Sketch);
-// internal/core owns the per-job composites (jobs.go), registered in a
-// lookup-only registry at package init. Decoders are strict —
-// malformed input returns an error, never panics (FuzzDecodeResults) —
-// and a worker child reconstructs its deterministic inputs (site sets,
-// strategies) from small JSON params rather than shipping objects.
-//
-// Because results land in slots by unit index, tables are
-// byte-identical across executors and shard counts; the in-process
-// path short-circuits past the codec entirely (jobDef.collect runs the
-// driver's original typed closure), so single-process runs pay zero
-// overhead for the seam. TestMultiprocessMatchesInprocess re-renders
-// every experiment family at shards 1/2/4 against the in-process
-// output, the goldens run through the multiprocess executor, CI diffs
-// pushbench -executor multiprocess -shards 4 tables against in-process
-// ones, and scripts/scale.sh records the measured per-executor scaling
-// curve (BENCH_pr10.json).
-//
 // # Machine-checked contracts (repolint)
 //
 // The engine invariants described above are not just prose: cmd/repolint
@@ -280,8 +240,7 @@
 //	runs are a pure function of the seed:   determinism    //repolint:ordered <reason>
 //	no wall clock, no global math/rand,                      (order-safe map range)
 //	no map-order-dependent output in
-//	sim, core, netem, scenario, shard,
-//	metrics
+//	sim, core, netem, scenario, metrics
 //
 //	pooled reuse leaks nothing: every       resetcomplete  //repolint:pooled (on the type)
 //	//repolint:pooled type's Reset covers                  //repolint:keep <reason> (field
@@ -329,14 +288,14 @@
 //
 // Experiment tables are pinned byte-for-byte across all of this
 // machinery by golden-fixture tests (internal/core/testdata) at Jobs=1
-// and Jobs=N, in-process and through the multiprocess executor, under
-// -race, and allocation budgets are enforced by regression tests
+// and Jobs=N, with fork-at-divergence on and off, under -race, and
+// allocation budgets are enforced by regression tests
 // (TestPageLoadAllocBudget, TestRunContextReuseAllocBudget,
 // TestFrameReaderAllocBudget); scripts/bench.sh tracks the perf
 // trajectory (BENCH_pr3.json through BENCH_pr10.json). The peer-facing
-// decoders (h2.FrameReader, hpack.Decoder, shard.StreamReader)
-// additionally carry fuzz targets seeded from real codec output; CI
-// runs short sessions of each.
+// decoders (h2.FrameReader, hpack.Decoder) additionally carry fuzz
+// targets seeded from real codec output; CI runs short sessions of
+// each.
 //
 // See README.md for building, running the experiment drivers
 // (cmd/pushbench) and benchmarking. bench_test.go regenerates every

@@ -22,10 +22,8 @@ var Determinism = &Analyzer{
 		"repro/internal/core",
 		"repro/internal/netem",
 		"repro/internal/scenario",
-		// The shard protocol and metrics codecs sit on the multiprocess
-		// result path: any nondeterminism there would break the
-		// byte-identical-tables contract across executors.
-		"repro/internal/shard",
+		// Sketch and sample merges must not depend on order, or the
+		// population tables would differ across -jobs values.
 		"repro/internal/metrics",
 	},
 	Run: runDeterminism,

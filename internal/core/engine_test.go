@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/replay"
+	"repro/internal/scenario"
 	"repro/internal/strategy"
 )
 
@@ -193,9 +194,9 @@ func TestCollectWithWorkerContextsParallel(t *testing.T) {
 // overlay scaling (the internet scenario) and for the plain testbed.
 func TestRunOnceWithMatchesRunOnce(t *testing.T) {
 	site := corpus.Generate(corpus.RandomProfile(), 3, 4)
-	for _, mode := range []Mode{ModeTestbed, ModeInternet} {
+	for _, scn := range []scenario.Scenario{scenario.DSL(), scenario.Internet()} {
 		tb := NewTestbed()
-		tb.SetMode(mode)
+		tb.Scenario = scn
 		rc := NewRunContext()
 		for run := 0; run < 4; run++ {
 			fresh := tb.RunOnce(site, replay.NoPush(), run)
@@ -203,7 +204,7 @@ func TestRunOnceWithMatchesRunOnce(t *testing.T) {
 			if warm.PLT != fresh.PLT || warm.SpeedIndex != fresh.SpeedIndex ||
 				warm.Completed != fresh.Completed || warm.Requests != fresh.Requests ||
 				warm.WireBytesPushed != fresh.WireBytesPushed {
-				t.Fatalf("mode %v run %d: warm context diverged: %+v vs %+v", mode, run, warm.Result, fresh.Result)
+				t.Fatalf("scenario %s run %d: warm context diverged: %+v vs %+v", scn.Name, run, warm.Result, fresh.Result)
 			}
 		}
 	}

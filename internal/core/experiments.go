@@ -63,11 +63,6 @@ type ExperimentScale struct {
 	// testbed the drivers build (ablation; output is byte-identical
 	// either way).
 	NoFork bool
-	// Exec selects the executor running the site-level fan-out: the
-	// zero value is the in-process pool, ExecMultiProcess shards units
-	// across worker child processes. Tables are byte-identical across
-	// executors and shard counts.
-	Exec Exec
 }
 
 // SmallScale is used by unit tests and benchmarks.
@@ -142,6 +137,9 @@ func Fig1Adoption(n int, seed int64) *Table {
 
 // --- Fig. 2a: testbed vs Internet variability ---
 
+// evalSamples is one site's full PLT/SI samples.
+type evalSamples struct{ plt, si metrics.Sample }
+
 // fig2aUnit builds one site's evaluation unit for Fig2aVariability:
 // full PLT/SI samples under scn, with or without push.
 func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale ExperimentScale) func(rc *RunContext, i int) evalSamples {
@@ -163,22 +161,14 @@ func fig2aUnit(sites []*replay.Site, scn scenario.Scenario, push bool, scale Exp
 func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	type cell struct{ plt, si []float64 }
-	run := func(scn scenario.Scenario, push bool) (cell, error) {
-		unit := fig2aUnit(sites, scn, push, scale)
-		evs, err := fig2aJob.collect(scale,
-			fig2aParams{Scn: scn, Push: push, Scale: scaleParams(scale)},
-			len(sites), func() []evalSamples {
-				return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
-			})
-		if err != nil {
-			return cell{}, err
-		}
+	run := func(scn scenario.Scenario, push bool) cell {
+		evs := collectWith(len(sites), scale.Jobs, newWorkerContext, fig2aUnit(sites, scn, push, scale))
 		var c cell
 		for i := range evs {
 			c.plt = append(c.plt, float64(evs[i].plt.StdErr())/float64(time.Millisecond))
 			c.si = append(c.si, float64(evs[i].si.StdErr())/float64(time.Millisecond))
 		}
-		return c, nil
+		return c
 	}
 	t := &Table{
 		Title:  "Fig 2a: std. error of PLT/SpeedIndex per site, testbed vs Internet",
@@ -195,10 +185,7 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 		{"push (Inet)", scenario.Internet(), true},
 		{"no push (Inet)", scenario.Internet(), false},
 	} {
-		c, err := run(cfg.scn, cfg.push)
-		if err != nil {
-			return nil, err
-		}
+		c := run(cfg.scn, cfg.push)
 		t.Rows = append(t.Rows, []string{
 			cfg.name,
 			pct(metrics.FractionBelow(c.plt, 50)),
@@ -212,6 +199,9 @@ func Fig2aVariability(scale ExperimentScale) (*Table, error) {
 }
 
 // --- Fig. 2b / 3a / 3b: strategy deltas ---
+
+// deltaResult is one site's median-delta pair in milliseconds.
+type deltaResult struct{ plt, si float64 }
 
 // deltaUnit builds one site's evaluation unit for deltaVsNoPush.
 func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) func(rc *RunContext, i int) deltaResult {
@@ -234,34 +224,21 @@ func deltaUnit(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale
 
 // deltaVsNoPush evaluates a strategy and the no-push baseline per site
 // and returns per-site median deltas in milliseconds (negative = push
-// better). sites must be the deterministic GenerateSet of prof at this
-// scale — worker children rebuild the same set from prof's name.
-func deltaVsNoPush(prof corpus.Profile, sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) (dPLT, dSI []float64, err error) {
-	unit := deltaUnit(sites, st, scale, trace)
-	deltas, err := deltaJob.collect(scale,
-		deltaParams{Profile: prof.Name, Strategy: specFor(st), Trace: trace, Scale: scaleParams(scale)},
-		len(sites), func() []deltaResult {
-			return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
-		})
-	if err != nil {
-		return nil, nil, err
-	}
+// better).
+func deltaVsNoPush(sites []*replay.Site, st strategy.Strategy, scale ExperimentScale, trace bool) (dPLT, dSI []float64) {
+	deltas := collectWith(len(sites), scale.Jobs, newWorkerContext, deltaUnit(sites, st, scale, trace))
 	for _, d := range deltas {
 		dPLT = append(dPLT, d.plt)
 		dSI = append(dSI, d.si)
 	}
-	return dPLT, dSI, nil
+	return dPLT, dSI
 }
 
 // Fig2bPushVsNoPush reproduces the testbed validation: pushing the same
 // objects as recorded vs. the no-push baseline.
 func Fig2bPushVsNoPush(scale ExperimentScale) (*Table, error) {
-	prof := corpus.RandomProfile()
-	sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-	dPLT, dSI, err := deltaVsNoPush(prof, sites, strategy.PushAll{}, scale, true)
-	if err != nil {
-		return nil, err
-	}
+	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
+	dPLT, dSI := deltaVsNoPush(sites, strategy.PushAll{}, scale, true)
 	t := &Table{
 		Title:  "Fig 2b: delta push vs no push (testbed), per-site medians",
 		Header: []string{"metric", "improved (<0)", "no benefit (>=0)", "median delta (ms)"},
@@ -313,10 +290,7 @@ func Fig3aPushAll(scale ExperimentScale) (*Table, error) {
 	}
 	for _, prof := range []corpus.Profile{corpus.TopProfile(), corpus.RandomProfile()} {
 		sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
-		dPLT, dSI, err := deltaVsNoPush(prof, sites, strategy.PushAll{}, scale, true)
-		if err != nil {
-			return nil, err
-		}
+		dPLT, dSI := deltaVsNoPush(sites, strategy.PushAll{}, scale, true)
 		t.Rows = append(t.Rows, []string{
 			prof.Name,
 			pct(metrics.FractionBelow(dSI, 0)),
@@ -330,8 +304,7 @@ func Fig3aPushAll(scale ExperimentScale) (*Table, error) {
 
 // Fig3bPushAmount sweeps the number of pushed objects on the random set.
 func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
-	prof := corpus.RandomProfile()
-	sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
+	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	t := &Table{
 		Title:  "Fig 3b: delta vs no push when pushing the first n objects (random-100)",
 		Header: []string{"n", "PLT improved", "SI improved", "median dPLT (ms)", "median dSI (ms)"},
@@ -345,10 +318,7 @@ func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
 		strategy.PushAll{},
 	}
 	for _, st := range strategies {
-		dPLT, dSI, err := deltaVsNoPush(prof, sites, st, scale, true)
-		if err != nil {
-			return nil, err
-		}
+		dPLT, dSI := deltaVsNoPush(sites, st, scale, true)
 		t.Rows = append(t.Rows, []string{
 			st.Name(),
 			pct(metrics.FractionBelow(dPLT, 0)),
@@ -362,8 +332,7 @@ func Fig3bPushAmount(scale ExperimentScale) (*Table, error) {
 
 // PushByTypeAnalysis reproduces the Sec. 4.2.1 object-type study.
 func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
-	prof := corpus.RandomProfile()
-	sites := corpus.GenerateSet(prof, scale.Sites, scale.Seed)
+	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	t := &Table{
 		Title:  "Sec 4.2.1: pushing specific object types (random-100)",
 		Header: []string{"type", "SI improved", "SI worse", "median dSI (ms)"},
@@ -381,10 +350,7 @@ func PushByTypeAnalysis(scale ExperimentScale) (*Table, error) {
 		perSiteBest[i] = 1e18
 	}
 	for _, st := range types {
-		_, dSI, err := deltaVsNoPush(prof, sites, st, scale, true)
-		if err != nil {
-			return nil, err
-		}
+		_, dSI := deltaVsNoPush(sites, st, scale, true)
 		for i, v := range dSI {
 			if v < perSiteBest[i] {
 				perSiteBest[i] = v
@@ -441,14 +407,7 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 		Notes:  []string{"paper: custom pushes far fewer bytes for comparable gains (s1: 309KB vs 1057KB)"},
 	}
 	sites := corpus.SyntheticSites()
-	unit := fig4Unit(sites, scale)
-	rowsBySite, err := fig4Job.collect(scale, fig4Params{Scale: scaleParams(scale)},
-		len(sites), func() [][][]string {
-			return collectWith(len(sites), scale.Jobs, newWorkerContext, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
+	rowsBySite := collectWith(len(sites), scale.Jobs, newWorkerContext, fig4Unit(sites, scale))
 	for _, rows := range rowsBySite {
 		t.Rows = append(t.Rows, rows...)
 	}
@@ -460,9 +419,8 @@ func Fig4Synthetic(scale ExperimentScale) (*Table, error) {
 // fig5Sizes is the HTML-size sweep of the Fig. 5b test page, in KB.
 func fig5Sizes() []int { return []int{10, 20, 30, 40, 50, 60, 70, 80, 90} }
 
-// fig5Unit builds one HTML-size row for Fig5Interleaving. jobs sizes
-// the run-level pool inside each testbed (jobCount semantics).
-func fig5Unit(runs int, seed int64, jobs int, noFork bool) func(rc *RunContext, i int) []string {
+// fig5Unit builds one HTML-size row for Fig5Interleaving.
+func fig5Unit(scale ExperimentScale) func(rc *RunContext, i int) []string {
 	sizes := fig5Sizes()
 	return func(rc *RunContext, i int) []string {
 		kb := sizes[i]
@@ -478,10 +436,10 @@ func fig5Unit(runs int, seed int64, jobs int, noFork bool) func(rc *RunContext, 
 		cssURL := "https://fig5.test/style.css"
 
 		tb := NewTestbed()
-		tb.Runs = runs
-		tb.Seed = seed
-		tb.Jobs = innerJobs(jobs, len(sizes))
-		tb.NoFork = noFork
+		tb.Runs = scale.Runs
+		tb.Seed = scale.Seed
+		tb.Jobs = innerJobs(scale.Jobs, len(sizes))
+		tb.NoFork = scale.NoFork
 		tb.UseContext(rc)
 		noPushCfg := *tb
 		noPushCfg.Browser.EnablePush = false
@@ -498,7 +456,7 @@ func fig5Unit(runs int, seed int64, jobs int, noFork bool) func(rc *RunContext, 
 
 // Fig5Interleaving builds the paper's test page (CSS in head, body text
 // varied from 10 to 90 KB) and compares no push, plain push and
-// interleaving push. Only Runs, Seed, Jobs, NoFork and Exec of scale
+// interleaving push. Only Runs, Seed, Jobs and NoFork of scale
 // are used; the page sweep is fixed.
 func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 	t := &Table{
@@ -506,17 +464,7 @@ func Fig5Interleaving(scale ExperimentScale) (*Table, error) {
 		Header: []string{"html KB", "no push SI (ms)", "push SI (ms)", "interleaving SI (ms)"},
 		Notes:  []string{"paper: no push and push grow with HTML size; interleaving stays flat and fastest"},
 	}
-	sizes := fig5Sizes()
-	unit := fig5Unit(scale.Runs, scale.Seed, scale.Jobs, scale.NoFork)
-	rows, err := fig5Job.collect(scale,
-		fig5Params{Runs: scale.Runs, Seed: scale.Seed, NoFork: scale.NoFork},
-		len(sizes), func() [][]string {
-			return collectWith(len(sizes), scale.Jobs, newWorkerContext, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
+	t.Rows = collectWith(len(fig5Sizes()), scale.Jobs, newWorkerContext, fig5Unit(scale))
 	return t, nil
 }
 
@@ -579,15 +527,7 @@ func Fig6Popular(ids []string, scale ExperimentScale) (*Table, error) {
 			"w7/w8 limited by blocking JS, w9 favours push all, w10 image contention, w17 dilution",
 		},
 	}
-	unit := fig6Unit(ids, scale)
-	rowsBySite, err := fig6Job.collect(scale,
-		fig6Params{IDs: ids, Scale: scaleParams(scale)},
-		len(ids), func() [][][]string {
-			return collectWith(len(ids), scale.Jobs, newWorkerContext, unit)
-		})
-	if err != nil {
-		return nil, err
-	}
+	rowsBySite := collectWith(len(ids), scale.Jobs, newWorkerContext, fig6Unit(ids, scale))
 	for _, rows := range rowsBySite {
 		t.Rows = append(t.Rows, rows...)
 	}

@@ -44,24 +44,21 @@ func diffLine(got, want string) string {
 func TestFig2bGoldenByteIdentical(t *testing.T) {
 	var want string
 	// Forking on and off must both match the golden: the checkpoint
-	// fast path may not change a single cell. The multiprocess executor
-	// must reproduce the same bytes through its codec and child workers.
-	for _, exec := range []Exec{{}, {Kind: ExecMultiProcess, Shards: 2}} {
-		for _, noFork := range []bool{false, true} {
-			for _, jobs := range []int{1, 0} {
-				sc := ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs, NoFork: noFork, Exec: exec}
-				tab, err := Fig2bPushVsNoPush(sc)
-				if err != nil {
-					t.Fatalf("executor=%s: %v", NewExecutor(exec, jobs).Name(), err)
-				}
-				got := tab.String()
-				if want == "" {
-					want = readGolden(t, "fig2b_golden.txt", got)
-				}
-				if got != want {
-					t.Errorf("Fig2b table diverged from golden at executor=%s Jobs=%d noFork=%v: %s",
-						NewExecutor(exec, jobs).Name(), jobs, noFork, diffLine(got, want))
-				}
+	// fast path may not change a single cell.
+	for _, noFork := range []bool{false, true} {
+		for _, jobs := range []int{1, 0} {
+			sc := ExperimentScale{Sites: 4, Runs: 3, Seed: 1, Jobs: jobs, NoFork: noFork}
+			tab, err := Fig2bPushVsNoPush(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tab.String()
+			if want == "" {
+				want = readGolden(t, "fig2b_golden.txt", got)
+			}
+			if got != want {
+				t.Errorf("Fig2b table diverged from golden at Jobs=%d noFork=%v: %s",
+					jobs, noFork, diffLine(got, want))
 			}
 		}
 	}

@@ -152,8 +152,7 @@ func populationPrep(sts []strategy.Strategy, sites []*replay.Site) ([][]*replay.
 }
 
 // popAddr decodes unit index u into its (client-count, strategy, run)
-// coordinates. Shared by the in-process loop and the population job,
-// which must agree on the unit order.
+// coordinates.
 func popAddr(u, nStrategies, runs int) (ci, sj, run int) {
 	ci = u / (nStrategies * runs)
 	sj = (u % (nStrategies * runs)) / runs
@@ -209,9 +208,6 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	if err := scale.Exec.Validate(); err != nil {
-		return nil, err
-	}
 	sts := populationStrategies()
 	sites := corpus.GenerateSet(corpus.RandomProfile(), scale.Sites, scale.Seed)
 	applied, plans, cfgs := populationPrep(sts, sites)
@@ -220,51 +216,35 @@ func PopulationSweep(pops []scenario.Population, counts []int, scale ExperimentS
 	for popIdx, pop := range pops {
 		nUnits := len(counts) * len(sts) * scale.Runs
 		total := make([]popCell, len(counts)*len(sts))
-		if scale.Exec.multiprocess() {
-			// Worker children compute one fresh cell per unit; merging
-			// them in unit order lands on the same totals as the
-			// per-worker accumulation below because popCell merges
-			// commutatively (pinned by the equivalence tests).
-			cells, err := populationJob.run(scale,
-				popParams{Pop: pop, Counts: counts, PopIdx: popIdx, Scale: scaleParams(scale)}, nUnits)
-			if err != nil {
-				return nil, err
+		// Pre-size the per-worker accumulator slots with the same
+		// clamp forEachWith applies, so newC can publish each
+		// worker's accumulator into a disjoint index.
+		workers := jobCount(scale.Jobs)
+		if workers > nUnits {
+			workers = nUnits
+		}
+		if workers < 1 {
+			workers = 1
+		}
+		accs := make([]*popAccumulator, workers)
+		newC := func(w int) *popAccumulator {
+			acc := &popAccumulator{cells: make([]popCell, len(counts)*len(sts))}
+			accs[w] = acc
+			return acc
+		}
+		forEachWith(nUnits, scale.Jobs, newC, func(acc *popAccumulator, u int) {
+			ci, sj, run := popAddr(u, len(sts), scale.Runs)
+			shared := pop.Shared
+			shared.Clients = counts[ci]
+			acc.runUnit(shared, &acc.cells[ci*len(sts)+sj], applied[sj], plans[sj], cfgs[sj],
+				run, popSeed(scale.Seed, popIdx, ci, run))
+		})
+		for _, acc := range accs {
+			if acc == nil {
+				continue
 			}
-			for u := range cells {
-				ci, sj, _ := popAddr(u, len(sts), scale.Runs)
-				total[ci*len(sts)+sj].mergeFrom(&cells[u])
-			}
-		} else {
-			// Pre-size the per-worker accumulator slots with the same
-			// clamp forEachWith applies, so newC can publish each
-			// worker's accumulator into a disjoint index.
-			workers := jobCount(scale.Jobs)
-			if workers > nUnits {
-				workers = nUnits
-			}
-			if workers < 1 {
-				workers = 1
-			}
-			accs := make([]*popAccumulator, workers)
-			newC := func(w int) *popAccumulator {
-				acc := &popAccumulator{cells: make([]popCell, len(counts)*len(sts))}
-				accs[w] = acc
-				return acc
-			}
-			forEachWith(nUnits, scale.Jobs, newC, func(acc *popAccumulator, u int) {
-				ci, sj, run := popAddr(u, len(sts), scale.Runs)
-				shared := pop.Shared
-				shared.Clients = counts[ci]
-				acc.runUnit(shared, &acc.cells[ci*len(sts)+sj], applied[sj], plans[sj], cfgs[sj],
-					run, popSeed(scale.Seed, popIdx, ci, run))
-			})
-			for _, acc := range accs {
-				if acc == nil {
-					continue
-				}
-				for i := range total {
-					total[i].mergeFrom(&acc.cells[i])
-				}
+			for i := range total {
+				total[i].mergeFrom(&acc.cells[i])
 			}
 		}
 

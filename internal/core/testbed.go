@@ -21,32 +21,6 @@ import (
 	"time"
 )
 
-// Mode selects where the measurement notionally runs.
-//
-// Deprecated: Mode survives as a thin shim for older call sites; it is
-// exactly the scenario.DSL / scenario.Internet pair. New code sets
-// Testbed.Scenario directly.
-type Mode int
-
-// Modes.
-const (
-	// ModeTestbed is the controlled environment: deterministic network,
-	// only small client-compute jitter (Sec. 4.1).
-	ModeTestbed Mode = iota
-	// ModeInternet adds run-to-run network variability, server think
-	// time and third-party content variability — the conditions Fig. 2a
-	// contrasts the testbed against.
-	ModeInternet
-)
-
-// Scenario translates the legacy mode onto the scenario subsystem.
-func (m Mode) Scenario() scenario.Scenario {
-	if m == ModeInternet {
-		return scenario.Internet()
-	}
-	return scenario.DSL()
-}
-
 // Testbed runs page loads under one measurement scenario.
 type Testbed struct {
 	// Scenario is the measurement condition: the emulated access link
@@ -119,12 +93,6 @@ func NewTestbedFor(sc scenario.Scenario) (*Testbed, error) {
 	tb.Scenario = sc
 	return tb, nil
 }
-
-// SetMode is the deprecated Mode shim: it replaces the testbed's
-// scenario with the one the legacy mode names.
-//
-// Deprecated: set Testbed.Scenario directly.
-func (tb *Testbed) SetMode(m Mode) { tb.Scenario = m.Scenario() }
 
 // RunResult couples the browser-side result with server-side stats.
 type RunResult struct {

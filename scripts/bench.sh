@@ -12,11 +12,9 @@
 # BENCH_prN.json files wrap two of these records ("before"/"after" each
 # refactor); subsequent PRs append their own BENCH_prN.json by pointing
 # the second argument at a new file. The benchmark set includes the
-# Jobs=1/2/4/8 engine sweep plus its Multiprocess/Shards=1/2/4/8 twin,
-# so both executors' scaling curves are part of every record; each
-# result carries executor/shards fields, and the JSON carries
-# gomaxprocs/num_cpu so a 1-core container run (where in-process Jobs>1
-# cannot show wall-clock speedup) is machine-readable.
+# Jobs=1/2/4/8 engine sweep, and the JSON carries gomaxprocs/num_cpu so
+# a 1-core container run (where Jobs>1 cannot show wall-clock speedup)
+# is machine-readable.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -56,14 +54,8 @@ printf '%s\n' "$txt" | awk -v mode="$mode" -v ncpu="$ncpu" '
 		if ($(i + 1) == "B/op") bytes = $i
 		if ($(i + 1) == "allocs/op") allocs = $i
 	}
-	# Execution backend, from the sub-benchmark name: the engine sweep
-	# runs a Multiprocess/Shards=N leg next to the in-process Jobs=N
-	# legs, and the scaling records must be separable downstream.
-	executor = (name ~ /Multiprocess/) ? "multiprocess" : "inprocess"
-	shards = 1
-	if (match(name, /Shards=[0-9]+/)) shards = substr(name, RSTART + 7, RLENGTH - 7)
-	recs[n++] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"executor\": \"%s\", \"shards\": %s}", \
-		name, iters, ns, bytes, allocs, executor, shards)
+	recs[n++] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+		name, iters, ns, bytes, allocs)
 }
 END {
 	if (gomaxprocs == "") gomaxprocs = "null"
